@@ -167,8 +167,7 @@ class FailureDetector:
         if self._stopped:
             return  # _confirm aborted the run
         # -------------------------------------------------- self-shutdown
-        app_alive = any(p.alive and not p.daemon for p in engine._processes)
-        if not app_alive:
+        if not engine.app_alive():
             self.stop()
             return
         if len(engine._queue) <= self._infra_pending():

@@ -63,7 +63,7 @@ class MetricsSampler:
 
         def tick() -> None:
             self.sample()
-            if any(p.alive and not p.daemon for p in engine._processes):
+            if engine.app_alive():
                 engine.schedule(self.interval, tick)
 
         engine.schedule(self.interval, tick)

@@ -11,21 +11,15 @@ back to the dispatcher; exactly one of {the ``run()`` caller, some process
 thread} executes at any instant, so no user-visible locking is needed
 anywhere in the framework.
 
-Two host-speed mechanisms live here (virtual-time results are bit-identical
-either way — the golden-run harness in :mod:`repro.bench.diffcheck` enforces
-that):
-
-* The event queue is a :class:`~repro.sim.eventq.CalendarQueue` by default;
-  the original heapq implementation remains available as the differential
-  reference model (``Engine(queue="heap")`` or ``REPRO_ENGINE_QUEUE=heap``).
-* Dispatch migrates between threads by **direct hand-off**: the dispatch
-  loop (:meth:`Engine._advance`) runs on whichever thread is giving up
-  control. Waking a process costs one raw-lock release (the waker) plus one
-  acquire (the sleeper); event callbacks execute inline on the current
-  thread; and a process whose next event is its own resume continues with
-  no lock traffic at all. The previous design parked/woke threads through
-  two ``threading.Event`` round trips per hand-off, which dominated host
-  time in profiles.
+The event queue is the binary heap of :mod:`repro.sim.eventq`. For
+thread-backed processes, dispatch migrates between threads by **direct
+hand-off**: the dispatch loop (:meth:`Engine._advance`) runs on whichever
+thread is giving up control. Waking a process costs one raw-lock release
+(the waker) plus one acquire (the sleeper); event callbacks execute inline
+on the current thread; and a process whose next event is its own resume
+continues with no lock traffic at all. Virtual-time results do not depend
+on this host-side mechanism — the golden-run harness in
+:mod:`repro.bench.diffcheck` enforces that.
 """
 
 from __future__ import annotations
@@ -80,27 +74,19 @@ class Engine:
     trace:
         Optional :class:`~repro.sim.trace.Tracer` capturing structured events
         for debugging and for the monitoring tests.
-    queue:
-        Event-queue implementation: ``"calendar"`` (default) or ``"heap"``
-        (the differential reference). The ``REPRO_ENGINE_QUEUE`` environment
-        variable overrides the default for unparameterized construction.
     procs:
         Process backend: ``"generator"`` (default; generator-function
         bodies run stackless, driven by the dispatch loop) or ``"thread"``
         (the differential reference: every process owns a backing thread
         with baton hand-off). The ``REPRO_ENGINE_PROCS`` environment
-        variable overrides the default, mirroring the queue selection.
+        variable overrides the default for unparameterized construction.
     """
 
     def __init__(self, trace: Optional[Tracer] = None,
-                 queue: Optional[str] = None,
                  procs: Optional[str] = None) -> None:
         self._now: float = 0.0
         self._seq: int = 0
-        if queue is None:
-            queue = os.environ.get("REPRO_ENGINE_QUEUE", "calendar")
-        self.queue_kind = queue
-        self._queue = make_queue(queue)
+        self._queue = make_queue()
         if procs is None:
             procs = os.environ.get("REPRO_ENGINE_PROCS", "generator")
         if procs not in ("generator", "thread"):
@@ -112,6 +98,8 @@ class Engine:
         # so process identities never leak across engines or test cases.
         self._next_pid: int = 0
         self._processes: list = []  # all SimProcess instances ever started
+        # Started, not yet exited, non-daemon processes (kept by SimProcess).
+        self._live_app: int = 0
         self._current = None  # the SimProcess whose thread is running, if any
         self._running = False
         self._finished = False
@@ -185,6 +173,11 @@ class Engine:
     # -------------------------------------------------------------- processes
     def register(self, process) -> None:
         self._processes.append(process)
+
+    def app_alive(self) -> bool:
+        """True while any started non-daemon process has not exited — the
+        condition self-rescheduling samplers tick on. O(1)."""
+        return self._live_app > 0
 
     def _alloc_pid(self) -> int:
         self._next_pid += 1
@@ -265,7 +258,6 @@ class Engine:
                 # Push back (same seq — ordering is unaffected by the round
                 # trip) and stop: the caller asked for a bounded run.
                 queue.push(when, seq, action)
-                queue.rewind(until)
                 self._now = until
                 return self._stop(origin, "until")
             self._now = when

@@ -124,6 +124,8 @@ class SimProcess:
             raise SimulationError(f"{self} already started")
         self.started = True
         self.alive = True
+        if not self.daemon:
+            self.engine._live_app += 1
         if (self.engine.procs_kind == "generator"
                 and inspect.isgeneratorfunction(self._fn)):
             # Stackless: instantiating the generator runs no body code; the
@@ -155,7 +157,7 @@ class SimProcess:
             self.exception = exc
             self.engine._report_exception(exc)
         finally:
-            self.alive = False
+            self._exited()
             self.engine.trace.emit("proc.exit", proc=str(self))
             # Wake joiners at the instant of death.
             for waiter in self._waiters:
@@ -206,12 +208,17 @@ class SimProcess:
 
     def _finish(self) -> None:
         """Terminal bookkeeping, mirroring ``_bootstrap``'s finally block."""
-        self.alive = False
+        self._exited()
         self._gen = None
         self.engine.trace.emit("proc.exit", proc=str(self))
         for waiter in self._waiters:
             self.engine.schedule(0.0, waiter)
         self._waiters.clear()
+
+    def _exited(self) -> None:
+        self.alive = False
+        if not self.daemon:
+            self.engine._live_app -= 1
 
     def drive(self, gen) -> Any:
         """Run a generator-style kernel to completion from blocking context.

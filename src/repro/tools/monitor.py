@@ -67,7 +67,7 @@ class AttachedMonitor:
         if self.period is not None:
             def tick() -> None:
                 self.snapshot()
-                if any(p.alive and not p.daemon for p in engine._processes):
+                if engine.app_alive():
                     engine.schedule(self.period, tick)
 
             engine.schedule(self.period, tick)

@@ -314,6 +314,21 @@ class TestMetricsSampler:
         built, _ = run_jiajia_workload(observe=False, metrics_interval=1e-4)
         assert built.engine._finished
 
+    def test_sampler_stops_when_last_app_process_exits(self):
+        # A daemon still alive (parked forever) must not keep it ticking.
+        built = preset("smp-2").build()
+        engine = built.engine
+        sampler = MetricsSampler(built, interval=1e-3).start()
+        daemon = SimProcess(engine, lambda proc: proc.suspend(),
+                            daemon=True).start()
+        SimProcess(engine, lambda proc: proc.hold(3.5e-3)).start()
+        engine.run(until=0.1)  # bounded: a sampler that ticks on still ends
+        assert daemon.alive and not engine.app_alive()
+        # Ticks at 1, 2, 3 ms see the worker alive; the 4 ms tick is the
+        # final sample and does not reschedule.
+        assert [p.time for p in sampler.samples] == [1e-3, 2e-3, 3e-3, 4e-3]
+        assert engine.now == 4e-3
+
 
 class TestModuleStatsObserve:
     def test_query_stats_aggregate(self):

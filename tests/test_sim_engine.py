@@ -64,6 +64,25 @@ class TestScheduling:
         engine.run()
         assert seen == [1, 5]
 
+    def test_bounded_run_pushback_keeps_order(self, engine):
+        """The event that overshoots ``until`` is pushed back under its
+        original seq: events scheduled from the bound still run first, and
+        same-timestamp events keep their FIFO order across the round trip."""
+        seen = []
+
+        def mark(tag):
+            return lambda: seen.append((engine.now, tag))
+
+        engine.schedule(1.0, mark("1"))
+        engine.schedule(5.0, mark("5a"))
+        engine.schedule(5.0, mark("5b"))
+        assert engine.run(until=2.0) == 2.0
+        engine.schedule(0.0, mark("zero"))
+        engine.schedule_at(3.0, mark("3"))
+        engine.run()
+        assert seen == [(1.0, "1"), (2.0, "zero"), (3.0, "3"),
+                        (5.0, "5a"), (5.0, "5b")]
+
     def test_nested_run_rejected(self, engine):
         def evil():
             with pytest.raises(SimulationError):
