@@ -107,6 +107,21 @@ def _parse_crash(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _add_target_options(cmd, default_preset: str = "sw-dsm-4",
+                         app_required: bool = False) -> None:
+    """The platform (``--preset``/``--config``) and benchmark (``--app``,
+    ``--param``) every run-style command takes."""
+    target = cmd.add_mutually_exclusive_group()
+    target.add_argument("--preset", default=default_preset,
+                        help=f"platform preset ({', '.join(sorted(PRESETS))})")
+    target.add_argument("--config", help="cluster configuration file")
+    cmd.add_argument("--app", default="sor", required=app_required,
+                     help=f"benchmark ({', '.join(sorted(APP_TABLE))})")
+    cmd.add_argument("--param", action="append", type=_parse_param,
+                     default=[], metavar="NAME=VALUE",
+                     help="benchmark parameter override (repeatable)")
+
+
 def _add_fault_options(cmd) -> None:
     fault = cmd.add_mutually_exclusive_group()
     fault.add_argument("--fault-seed", type=int, metavar="SEED",
@@ -183,15 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one benchmark on one platform")
-    target = run.add_mutually_exclusive_group()
-    target.add_argument("--preset", default="sw-dsm-4",
-                        help=f"platform preset ({', '.join(sorted(PRESETS))})")
-    target.add_argument("--config", help="cluster configuration file")
-    run.add_argument("--app", required=True,
-                     help=f"benchmark ({', '.join(sorted(APP_TABLE))})")
-    run.add_argument("--param", action="append", type=_parse_param,
-                     default=[], metavar="NAME=VALUE",
-                     help="benchmark parameter override (repeatable)")
+    _add_target_options(run, app_required=True)
     run.add_argument("--native", action="store_true",
                      help="bind the JiaJia API natively (Figure 2 baseline)")
     run.add_argument("--profile", action="store_true",
@@ -203,15 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos", help="run one benchmark under a seeded fault plan")
-    ctarget = chaos.add_mutually_exclusive_group()
-    ctarget.add_argument("--preset", default="sw-dsm-2",
-                         help=f"platform preset ({', '.join(sorted(PRESETS))})")
-    ctarget.add_argument("--config", help="cluster configuration file")
-    chaos.add_argument("--app", default="sor",
-                       help=f"benchmark ({', '.join(sorted(APP_TABLE))})")
-    chaos.add_argument("--param", action="append", type=_parse_param,
-                       default=[], metavar="NAME=VALUE",
-                       help="benchmark parameter override (repeatable)")
+    _add_target_options(chaos, default_preset="sw-dsm-2")
     _add_fault_options(chaos)
     chaos.add_argument("--drop-rate", type=float, metavar="P",
                        help="override the plan's per-message drop probability")
@@ -226,15 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--validate", metavar="FILE",
                        help="validate an exported Chrome trace JSON file "
                             "and exit (no run)")
-    ttarget = trace.add_mutually_exclusive_group()
-    ttarget.add_argument("--preset", default="sw-dsm-4",
-                         help=f"platform preset ({', '.join(sorted(PRESETS))})")
-    ttarget.add_argument("--config", help="cluster configuration file")
-    trace.add_argument("--app", default="sor",
-                       help=f"benchmark ({', '.join(sorted(APP_TABLE))})")
-    trace.add_argument("--param", action="append", type=_parse_param,
-                       default=[], metavar="NAME=VALUE",
-                       help="benchmark parameter override (repeatable)")
+    _add_target_options(trace)
     trace.add_argument("--path-top", type=int, default=8, metavar="N",
                        help="critical-chain entries to print (default 8)")
     _add_fault_options(trace)
@@ -246,15 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--validate", metavar="FILE",
                       help="validate an exported sharing report JSON file "
                            "and exit (no run)")
-    dtarget = diag.add_mutually_exclusive_group()
-    dtarget.add_argument("--preset", default="sw-dsm-4",
-                         help=f"platform preset ({', '.join(sorted(PRESETS))})")
-    dtarget.add_argument("--config", help="cluster configuration file")
-    diag.add_argument("--app", default="sor",
-                      help=f"benchmark ({', '.join(sorted(APP_TABLE))})")
-    diag.add_argument("--param", action="append", type=_parse_param,
-                      default=[], metavar="NAME=VALUE",
-                      help="benchmark parameter override (repeatable)")
+    _add_target_options(diag)
     diag.add_argument("--top", type=int, default=10, metavar="N",
                       help="hot pages/locks to report (default 10)")
     diag.add_argument("--min-alternations", type=int, default=4, metavar="N",
@@ -531,37 +514,72 @@ def _resolve_plan(args):
     return None
 
 
-def _cmd_run(args) -> int:
-    from repro.apps import get_app
-    from repro.apps.common import merge_rank_results
-    from repro.models.jiajia_api import JiaJiaApi
-    from repro.models.native_jiajia import NativeJiaJiaApi
-
+def _target_config(args):
+    """Cluster config from ``--config``/``--preset``, with any
+    ``--fault-seed``/``--fault-plan`` plan folded in."""
     config = load(args.config) if args.config else preset(args.preset)
     plan = _resolve_plan(args)
     if plan is not None:
         config.faults = plan
-    _apply_obs(config, args)
+    return config
+
+
+def _run_app(plat, args, api=None, run=None, note: str = ""):
+    """Run ``--app`` with its ``--param`` overrides on a built platform and
+    print the platform/benchmark/verified header; returns the merged
+    result. ``api`` defaults to the JiaJia binding; ``run`` wraps the
+    call (a host profiler); ``note`` is appended to the platform line."""
+    from repro.apps import get_app
+    from repro.apps.common import merge_rank_results
+    from repro.models.jiajia_api import JiaJiaApi
+
+    if api is None:
+        api = JiaJiaApi(plat.hamster)
     params: Dict[str, Any] = dict(args.param)
+    do_run = functools.partial(
+        api.run, functools.partial(get_app(args.app), **params))
+    merged = merge_rank_results(run(do_run) if run is not None else do_run())
+    print(f"platform : {plat.hamster.platform_description()}{note}")
+    print(f"benchmark: {args.app} {params or ''}")
+    print(f"verified : {merged.verified}")
+    return merged
+
+
+def _validate_file(path: str, validator, summary) -> int:
+    """``--validate``: schema-check a JSON file; print each error (exit 1)
+    or the one-line ``summary(doc)`` (exit 0)."""
+    import json
+
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    errors = validator(doc)
+    for err in errors:
+        print(f"invalid: {err}")
+    if errors:
+        return 1
+    print(summary(doc))
+    return 0
+
+
+def _cmd_run(args) -> int:
+    from repro.models.native_jiajia import NativeJiaJiaApi
+
+    config = _target_config(args)
+    _apply_obs(config, args)
     plat = config.build()
-    api = NativeJiaJiaApi(plat.hamster) if args.native else JiaJiaApi(plat.hamster)
-    fn = get_app(args.app)
     profiler = timers = None
     if args.profile:
         from repro.bench.hostprof import HostProfiler, PhaseWallTimers
 
         profiler = HostProfiler()
         timers = PhaseWallTimers().attach(plat)
-    do_run = lambda: api.run(functools.partial(fn, **params))  # noqa: E731
-    per_rank = profiler.run(do_run) if profiler is not None else do_run()
+    merged = _run_app(
+        plat, args,
+        api=NativeJiaJiaApi(plat.hamster) if args.native else None,
+        run=profiler.run if profiler is not None else None,
+        note=" [native binding]" if args.native else "")
     if timers is not None:
         timers.detach()
-    merged = merge_rank_results(per_rank)
-
-    print(f"platform : {plat.hamster.platform_description()}"
-          f"{' [native binding]' if args.native else ''}")
-    print(f"benchmark: {args.app} {params or ''}")
-    print(f"verified : {merged.verified}")
     for phase, seconds in sorted(merged.phases.items()):
         print(f"  {phase:>10s}: {seconds * 1e3:10.3f} ms")
     if args.profile:
@@ -584,11 +602,9 @@ def _cmd_chaos(args) -> int:
 
     from repro.faults import FaultPlan, run_chaos
 
-    config = load(args.config) if args.config else preset(args.preset)
-    plan = _resolve_plan(args)
-    if plan is None:
-        plan = (FaultPlan.coerce(config.faults)
-                if config.faults is not None else FaultPlan.seeded(0))
+    config = _target_config(args)
+    plan = (FaultPlan.coerce(config.faults)
+            if config.faults is not None else FaultPlan.seeded(0))
     if args.drop_rate is not None:
         plan = plan.with_overrides(
             link=dataclasses.replace(plan.link, drop_rate=args.drop_rate))
@@ -610,40 +626,20 @@ def _cmd_chaos(args) -> int:
 
 def _cmd_trace(args) -> int:
     if args.validate:
-        import json
-
         from repro.obs import validate_chrome_trace
 
-        with open(args.validate, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        errors = validate_chrome_trace(doc)
-        if errors:
-            for err in errors:
-                print(f"invalid: {err}")
-            return 1
-        print(f"valid Chrome trace: {args.validate} "
-              f"({len(doc['traceEvents'])} events)")
-        return 0
+        return _validate_file(
+            args.validate, validate_chrome_trace,
+            lambda doc: f"valid Chrome trace: {args.validate} "
+                        f"({len(doc['traceEvents'])} events)")
 
-    from repro.apps import get_app
-    from repro.apps.common import merge_rank_results
-    from repro.models.jiajia_api import JiaJiaApi
     from repro.obs import critical_path_report
 
-    config = load(args.config) if args.config else preset(args.preset)
-    plan = _resolve_plan(args)
-    if plan is not None:
-        config.faults = plan
+    config = _target_config(args)
     config.observe = True  # the whole point of this subcommand
     _apply_obs(config, args)
-    params: Dict[str, Any] = dict(args.param)
     plat = config.build()
-    api = JiaJiaApi(plat.hamster)
-    fn = get_app(args.app)
-    merged = merge_rank_results(api.run(functools.partial(fn, **params)))
-    print(f"platform : {plat.hamster.platform_description()}")
-    print(f"benchmark: {args.app} {params or ''}")
-    print(f"verified : {merged.verified}")
+    merged = _run_app(plat, args)
     print(f"spans    : {len(plat.obs)}")
     print()
     print(critical_path_report(plat).render(path_top=args.path_top))
@@ -657,35 +653,20 @@ def _cmd_diagnose(args) -> int:
     if args.validate:
         from repro.obs import validate_sharing_report
 
-        with open(args.validate, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        errors = validate_sharing_report(doc)
-        if errors:
-            for err in errors:
-                print(f"invalid: {err}")
-            return 1
-        print(f"valid sharing report: {args.validate} "
-              f"({len(doc['ping_pong'])} ping-pong pages, "
-              f"{len(doc['false_sharing']['pages'])} false sharing)")
-        return 0
+        return _validate_file(
+            args.validate, validate_sharing_report,
+            lambda doc: f"valid sharing report: {args.validate} "
+                        f"({len(doc['ping_pong'])} ping-pong pages, "
+                        f"{len(doc['false_sharing']['pages'])} false sharing)")
 
-    from repro.apps import get_app
-    from repro.apps.common import merge_rank_results
-    from repro.models.jiajia_api import JiaJiaApi
     from repro.obs import (render_sharing_report, sharing_chrome_trace,
                            sharing_heatmap_csv, sharing_report)
     from repro.tools.export import write_text
 
-    config = load(args.config) if args.config else preset(args.preset)
-    plan = _resolve_plan(args)
-    if plan is not None:
-        config.faults = plan
+    config = _target_config(args)
     config.sharing = True  # the whole point of this subcommand
-    params: Dict[str, Any] = dict(args.param)
     plat = config.build()
-    api = JiaJiaApi(plat.hamster)
-    fn = get_app(args.app)
-    merged = merge_rank_results(api.run(functools.partial(fn, **params)))
+    merged = _run_app(plat, args)
     pname = plat.hamster.platform_description()
     doc = sharing_report(plat.sharing, platform_name=pname,
                          n_ranks=plat.dsm.n_procs,
@@ -693,9 +674,6 @@ def _cmd_diagnose(args) -> int:
                          top=args.top,
                          min_alternations=args.min_alternations,
                          min_rate=args.min_rate)
-    print(f"platform : {pname}")
-    print(f"benchmark: {args.app} {params or ''}")
-    print(f"verified : {merged.verified}")
     print()
     print(render_sharing_report(doc))
     if args.json_out:

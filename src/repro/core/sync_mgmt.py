@@ -160,16 +160,12 @@ class SyncMgmt:
         with engine.obs.span("svc.lock", lock=lock_id):
             yield from self._h.charge_call_g()
             self.stats.incr("lock_acquires")
-            sharing = engine.sharing
-            if sharing.enabled:
-                t0 = engine.now
-                yield from self.dsm.lock_g(lock_id)
-                rank = self.dsm.current_rank()
-                sharing.lock_acquired(lock_id, rank, t0, engine.now)
-                self._held.setdefault(rank, []).append(lock_id)
-            else:
-                yield from self.dsm.lock_g(lock_id)
-                self._held.setdefault(self.dsm.current_rank(), []).append(lock_id)
+            t0 = engine.now
+            yield from self.dsm.lock_g(lock_id)
+            rank = self.dsm.current_rank()
+            if engine.sharing.enabled:
+                engine.sharing.lock_acquired(lock_id, rank, t0, engine.now)
+            self._held.setdefault(rank, []).append(lock_id)
 
     def try_lock(self, lock_id: int) -> bool:
         """Non-blocking lock attempt; True on success."""
@@ -223,14 +219,11 @@ class SyncMgmt:
         with engine.obs.span("svc.barrier"):
             yield from self._h.charge_call_g()
             self.stats.incr("barriers")
-            sharing = engine.sharing
-            if sharing.enabled:
-                rank = self.dsm.current_rank()
-                t0 = engine.now
-                yield from self.dsm.barrier_g()
-                sharing.barrier(rank, t0, engine.now)
-            else:
-                yield from self.dsm.barrier_g()
+            t0 = engine.now
+            yield from self.dsm.barrier_g()
+            if engine.sharing.enabled:
+                engine.sharing.barrier(self.dsm.current_rank(), t0,
+                                       engine.now)
 
     # ------------------------------------------------------------ conditions
     def new_condition(self, lock_id: int) -> ConditionVar:

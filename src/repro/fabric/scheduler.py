@@ -7,7 +7,7 @@
 2. serve every cell already in the :class:`~repro.fabric.cache.ResultCache`
    (a fully-unchanged grid costs zero simulation time);
 3. dispatch the misses — inline when ``workers <= 1`` (the reference
-   serial path), otherwise to N worker processes over bounded queues;
+   serial path), otherwise to N worker processes, one pipe each;
 4. recover: a job that exceeds the per-cell wall-clock timeout gets its
    worker killed; a dead worker's job is retried (``max_retries`` times,
    with exponential backoff between attempts); exhausted retries (or any
@@ -40,8 +40,8 @@ follow-up resume picks up exactly where the sweep stopped.
 Observability: with ``events`` set, every cell/worker lifecycle
 transition is appended to a structured event log
 (:mod:`repro.fabric.events`) as it happens, and workers report in-cell
-progress heartbeats (engine events executed, virtual seconds) over the
-result queue — so a live sweep can be watched (``sweep watch``), a slow
+progress heartbeats (engine events executed, virtual seconds) over their
+pipes — so a live sweep can be watched (``sweep watch``), a slow
 cell can be told from a stuck one, and a timed-out cell's outcome
 records its progress-at-kill. Host-side timestamps stay in the event
 log and the manifest; they never enter ``canonical_record``, so the
@@ -57,13 +57,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import platform as _host_platform
-import queue as _queue
 import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from multiprocessing.connection import wait as _wait_ready
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import repro.fabric.faultpoints as faultpoints
 from repro.fabric.cache import DEFAULT_CACHE_DIR, ResultCache, scenario_key
@@ -259,7 +259,6 @@ def _kill(proc: multiprocessing.Process) -> None:
 def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
                        timeout: Optional[float],
                        progress: Optional[Progress],
-                       stall_grace: float = 5.0,
                        emit: Callable[..., Any] = _null_emit,
                        heartbeat: Optional[float] = DEFAULT_HEARTBEAT,
                        on_done: Optional[_OnDone] = None,
@@ -274,23 +273,32 @@ def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
     stop request drains: nothing new is dispatched, cells already handed
     to the pool finish (a second request abandons even those), and
     unresolved jobs are left for the caller to mark pending.
+
+    Each worker has its own pipe and is sent a job only while idle, so
+    every job is attributed to one worker from the moment it is sent:
+    when a worker dies, the job it held is known and recovered exactly
+    once, whether or not its ``start`` message got out. No channel is
+    shared between workers, so a worker killed mid-send cannot block the
+    others' results.
     """
     stop = stop or _StopControl()
     max_attempts = 1 + max(0, max_retries)
     ctx = multiprocessing.get_context()
     n_workers = min(workers, len(jobs))
-    job_q = ctx.Queue(maxsize=max(2, 2 * n_workers))  # bounded by design
-    result_q = ctx.Queue()
     procs: Dict[int, Any] = {}
+    conns: Dict[int, Any] = {}     # worker pid -> scheduler end of its pipe
     wids: Dict[int, int] = {}      # worker pid -> stable worker id
     next_wid = [0]
 
     def spawn(respawn: bool = False) -> None:
+        conn, child_conn = ctx.Pipe()
         proc = ctx.Process(target=worker_main,
-                           args=(job_q, result_q, suite, heartbeat),
+                           args=(child_conn, suite, heartbeat),
                            daemon=True)
         proc.start()
+        child_conn.close()
         procs[proc.pid] = proc
+        conns[proc.pid] = conn
         wids[proc.pid] = next_wid[0]
         emit("worker-respawn" if respawn else "worker-spawn",
              worker=next_wid[0], data={"pid": proc.pid})
@@ -302,8 +310,8 @@ def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
     jobs_by_index: Dict[int, Job] = {job.index: job for job in jobs}
     pending = deque(jobs)
     delayed: List[Tuple[float, Job]] = []         # (ready_at, job) backoff
-    handed: Set[int] = set()       # on the job queue, no "start" seen yet
-    inflight: Dict[int, Tuple[Job, float]] = {}   # worker pid -> (job, t0)
+    # worker pid -> (job sent to it, host time of its "start" or None)
+    inflight: Dict[int, Tuple[Job, Optional[float]]] = {}
     last_beat: Dict[int, Dict[str, Any]] = {}     # job index -> progress
     outstanding = set(jobs_by_index)
     failures = [0]
@@ -316,7 +324,6 @@ def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
         While stopping/aborting, a lost job is simply left unresolved —
         the caller reports it pending and resume re-runs it."""
         cell_id = job.scenario.cell_id()
-        handed.discard(job.index)
         if stop.stopping or aborted[0]:
             last_beat.pop(job.index, None)
             return
@@ -349,7 +356,6 @@ def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
                 aborted[0] = True
 
     try:
-        last_activity = time.monotonic()
         while outstanding:
             now = time.monotonic()
             draining = stop.stopping or aborted[0]
@@ -358,7 +364,7 @@ def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
                 delayed.clear()
                 if stop.level >= 2:
                     break               # abandon the drain: hard stop
-                if not inflight and not handed:
+                if not inflight:
                     break               # drained clean
                 if not procs:
                     break               # nobody left to finish anything
@@ -370,81 +376,85 @@ def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
                         delayed[:] = [(at, j) for at, j in delayed
                                       if at > now]
                         pending.extend(ready)
-                while pending:
-                    try:
-                        job_q.put_nowait(pending[0])
-                    except _queue.Full:
+                for wpid in procs:
+                    if not pending:
                         break
+                    if wpid in inflight:
+                        continue
                     job = pending.popleft()
-                    handed.add(job.index)
+                    try:
+                        conns[wpid].send(job)
+                    except OSError:
+                        pass        # the worker just died; recovered below
+                    inflight[wpid] = (job, None)
                     emit("dispatched", cell=job.index,
                          id=job.scenario.cell_id(), key=job.key,
                          data={"attempt": job.attempt})
-            try:
-                tag, idx, payload, pid = result_q.get(timeout=0.05)
-            except _queue.Empty:
-                tag = None
+            messages = []
+            for conn in _wait_ready(list(conns.values()), timeout=0.05):
+                try:
+                    while conn.poll():
+                        messages.append(conn.recv())
+                except (EOFError, OSError):
+                    pass            # the worker died; recovered below
             now = time.monotonic()
-            if tag is not None:
-                last_activity = now
-            if tag == "start":
-                handed.discard(idx)
-                inflight[pid] = (jobs_by_index[idx], now)
-                emit("started", cell=idx,
-                     id=jobs_by_index[idx].scenario.cell_id(),
-                     worker=wids.get(pid))
-            elif tag == "beat":
-                # Progress from a live cell; stale beats (job already
-                # resolved, worker already reaped) are dropped.
-                if idx in outstanding and pid in procs:
-                    last_beat[idx] = payload
-                    emit("heartbeat", cell=idx, worker=wids.get(pid),
-                         data=payload)
-            elif tag == "done":
-                job = jobs_by_index[idx]
-                outstanding.discard(idx)
-                handed.discard(idx)
-                inflight.pop(pid, None)
-                last_beat.pop(idx, None)
-                emit("done", cell=idx, id=job.scenario.cell_id(),
-                     worker=wids.get(pid),
-                     data={"events_executed": payload["events_executed"],
-                           "virtual_seconds": payload["virtual_seconds"],
-                           "host_seconds": payload["host_seconds"]})
-                if on_done is not None:
-                    on_done(job, payload)
-                if progress is not None:
-                    progress(job.scenario.cell_id(), "miss")
-            elif tag == "fail":
-                job = jobs_by_index[idx]
-                inflight.pop(pid, None)
-                outstanding.discard(idx)
-                handed.discard(idx)
-                last_beat.pop(idx, None)
-                emit("failed", cell=idx, id=job.scenario.cell_id(),
-                     worker=wids.get(pid),
-                     data={"kind": "error", "detail": payload})
-                if on_fail is not None:
-                    on_fail(job, "error", payload, None)
-                if progress is not None:
-                    progress(job.scenario.cell_id(), "failed")
-                failures[0] += 1
-                if max_failures is not None and failures[0] >= max_failures:
-                    aborted[0] = True
+            for tag, idx, payload, pid in messages:
+                if tag == "start":
+                    inflight[pid] = (inflight[pid][0], now)
+                    emit("started", cell=idx,
+                         id=jobs_by_index[idx].scenario.cell_id(),
+                         worker=wids.get(pid))
+                elif tag == "beat":
+                    # Progress from a live cell; stale beats (job already
+                    # resolved, worker already reaped) are dropped.
+                    if idx in outstanding and pid in procs:
+                        last_beat[idx] = payload
+                        emit("heartbeat", cell=idx, worker=wids.get(pid),
+                             data=payload)
+                elif tag == "done":
+                    job = jobs_by_index[idx]
+                    outstanding.discard(idx)
+                    inflight.pop(pid, None)
+                    last_beat.pop(idx, None)
+                    emit("done", cell=idx, id=job.scenario.cell_id(),
+                         worker=wids.get(pid),
+                         data={"events_executed": payload["events_executed"],
+                               "virtual_seconds": payload["virtual_seconds"],
+                               "host_seconds": payload["host_seconds"]})
+                    if on_done is not None:
+                        on_done(job, payload)
+                    if progress is not None:
+                        progress(job.scenario.cell_id(), "miss")
+                elif tag == "fail":
+                    job = jobs_by_index[idx]
+                    inflight.pop(pid, None)
+                    outstanding.discard(idx)
+                    last_beat.pop(idx, None)
+                    emit("failed", cell=idx, id=job.scenario.cell_id(),
+                         worker=wids.get(pid),
+                         data={"kind": "error", "detail": payload})
+                    if on_fail is not None:
+                        on_fail(job, "error", payload, None)
+                    if progress is not None:
+                        progress(job.scenario.cell_id(), "failed")
+                    failures[0] += 1
+                    if (max_failures is not None
+                            and failures[0] >= max_failures):
+                        aborted[0] = True
             # Per-job wall-clock timeout: kill the worker, recover the job.
             if timeout is not None:
                 for wpid in list(inflight):
                     job, t0 = inflight[wpid]
-                    if now - t0 > timeout:
+                    if t0 is not None and now - t0 > timeout:
                         inflight.pop(wpid)
-                        proc = procs.pop(wpid, None)
+                        proc = procs.pop(wpid)
+                        conns.pop(wpid).close()
                         prog = last_beat.get(job.index)
                         emit("worker-kill", worker=wids.get(wpid, -1),
                              cell=job.index, data={
                                  "pid": wpid, "timeout": timeout,
                                  "progress": prog})
-                        if proc is not None:
-                            _kill(proc)
+                        _kill(proc)
                         detail = f"exceeded {timeout:g}s wall clock"
                         if prog is not None:
                             detail += (f" at {prog['events_executed']} "
@@ -452,12 +462,13 @@ def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
                                        f"{prog['virtual_seconds']:.6f}s "
                                        f"virtual")
                         resolve_fail(job, "timeout", detail, prog)
-            # Dead workers: recover their in-flight job, keep the pool full.
+            # Dead workers: recover the job each held, keep the pool full.
             for wpid in list(procs):
                 proc = procs[wpid]
                 if proc.is_alive():
                     continue
                 procs.pop(wpid)
+                conns.pop(wpid).close()
                 emit("worker-death", worker=wids.get(wpid, -1),
                      data={"pid": wpid, "exitcode": proc.exitcode})
                 entry = inflight.pop(wpid, None)
@@ -469,32 +480,20 @@ def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
             if (outstanding and not stop.stopping and not aborted[0]
                     and len(procs) < min(n_workers, len(outstanding))):
                 spawn(respawn=True)
-            # Lost-job recovery. A worker that dies between taking a job
-            # off the queue and its "start" message flushing leaves the
-            # job unaccounted: not pending, not in flight, never resolved.
-            # After a quiet grace period with nothing running and nothing
-            # queued, re-queue the unaccounted jobs (re-execution is
-            # harmless: cells are deterministic and content-addressed).
-            if (outstanding and not inflight and not pending and not delayed
-                    and now - last_activity > stall_grace):
-                for idx in sorted(outstanding):
-                    resolve_fail(jobs_by_index[idx], "crash",
-                                 "worker died before reporting the job")
-                last_activity = now
     finally:
-        for _ in range(len(procs)):
+        for conn in conns.values():
             try:
-                job_q.put_nowait(None)
-            except _queue.Full:  # pragma: no cover
-                break
+                conn.send(None)
+            except OSError:
+                pass                    # that worker is already gone
         deadline = time.monotonic() + 2.0
         for pid, proc in procs.items():
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
             if proc.is_alive():
                 _kill(proc)
             emit("worker-exit", worker=wids.get(pid, -1), data={"pid": pid})
-        job_q.cancel_join_thread()
-        result_q.cancel_join_thread()
+        for conn in conns.values():
+            conn.close()
 
     return aborted[0]
 
@@ -505,7 +504,6 @@ def run_sweep(spec: GridSpec, workers: int = 1,
               cache_dir: str = DEFAULT_CACHE_DIR,
               timeout: Optional[float] = None,
               progress: Optional[Progress] = None,
-              stall_grace: float = 5.0,
               events: Optional[Union[str, EventLog]] = None,
               heartbeat: Optional[float] = DEFAULT_HEARTBEAT,
               journal: Optional[Union[str, SweepJournal]] = None,
@@ -698,7 +696,7 @@ def run_sweep(spec: GridSpec, workers: int = 1,
         else:
             aborted = _run_jobs_parallel(
                 jobs, workers, spec.suite, timeout, progress,
-                stall_grace=stall_grace, emit=emit, heartbeat=heartbeat,
+                emit=emit, heartbeat=heartbeat,
                 on_done=commit_done, on_fail=commit_failed, stop=stop,
                 max_retries=max_retries, max_failures=max_failures,
                 retry_backoff=retry_backoff)

@@ -1,8 +1,8 @@
 """Worker protocol for the experiment fabric.
 
-A worker process runs :func:`worker_main` over two queues: it takes
-:class:`Job` objects off the (bounded) job queue and answers on the
-result queue with tagged tuples::
+A worker process runs :func:`worker_main` over its own duplex pipe to the
+scheduler: it receives :class:`Job` objects (one at a time, sent only
+while it is idle) and answers on the same pipe with tagged tuples::
 
     ("start", index, None,   pid)   # picked the job up (arms the timeout)
     ("beat",  index, prog,   pid)   # in-cell progress heartbeat
@@ -33,7 +33,6 @@ a cell's virtual-time result cannot depend on where it ran.
 from __future__ import annotations
 
 import os
-import queue as _queue_mod
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
@@ -142,9 +141,15 @@ def _maybe_crash_for_test() -> None:
     faultpoints.maybe_crash(faultpoints.WORKER_CELL_START)
 
 
-def worker_main(job_q: Any, result_q: Any, suite: str = "sweep",
+def worker_main(conn: Any, suite: str = "sweep",
                 heartbeat: Optional[float] = None) -> None:
-    """Worker process entry point: drain jobs until the None sentinel.
+    """Worker process entry point: run jobs from ``conn`` until the None
+    sentinel.
+
+    Every message is sent synchronously on this worker's own pipe (no
+    feeder thread, no lock shared with other workers), so a worker that
+    dies cannot lose a message it already sent, nor leave a half-written
+    one in a channel another worker needs.
 
     With ``heartbeat`` set, a periodic engine hook reports the running
     cell's progress as ``("beat", index, prog, pid)`` messages at most
@@ -155,11 +160,11 @@ def worker_main(job_q: Any, result_q: Any, suite: str = "sweep",
     in-flight cells drain to completion unless it escalates (SIGTERM
     from the scheduler's kill path still works).
 
-    An idle worker polls the queue and checks that its parent is still
+    An idle worker polls its pipe and checks that its parent is still
     alive between polls: if the orchestrator is SIGKILL'd (so neither
     the sentinel nor multiprocessing's daemon cleanup ever arrives),
-    the orphaned worker exits on its own instead of blocking on the job
-    queue forever and pinning the inherited pipes open.
+    the orphaned worker exits on its own instead of waiting for a job
+    forever and pinning the inherited pipes open.
     """
     import signal as _signal
 
@@ -173,29 +178,31 @@ def worker_main(job_q: Any, result_q: Any, suite: str = "sweep",
     if heartbeat is not None:
         def emit(events: int, virtual: float) -> None:
             if current["index"] >= 0:
-                result_q.put(("beat", current["index"],
-                              {"events_executed": int(events),
-                               "virtual_seconds": float(virtual)}, pid))
+                conn.send(("beat", current["index"],
+                           {"events_executed": int(events),
+                            "virtual_seconds": float(virtual)}, pid))
 
         install_heartbeat(emit, heartbeat)
     while True:
         try:
-            job = job_q.get(timeout=1.0)
-        except _queue_mod.Empty:
-            if os.getppid() != parent:   # orphaned: orchestrator is gone
-                return
-            continue
-        if job is None:
-            result_q.put(("bye", -1, None, pid))
+            if not conn.poll(1.0):
+                if os.getppid() != parent:   # orphaned: orchestrator is gone
+                    return
+                continue
+            job = conn.recv()
+        except (EOFError, OSError):          # orchestrator closed the pipe
             return
-        result_q.put(("start", job.index, None, pid))
+        if job is None:
+            conn.send(("bye", -1, None, pid))
+            return
+        conn.send(("start", job.index, None, pid))
         current["index"] = job.index
         _maybe_crash_for_test()
         try:
             record = execute_cell(job.scenario, suite=suite)
             current["index"] = -1
-            result_q.put(("done", job.index, record, pid))
+            conn.send(("done", job.index, record, pid))
         except Exception as exc:  # noqa: BLE001 — typed failure, not death
             current["index"] = -1
-            result_q.put(("fail", job.index,
-                          f"{type(exc).__name__}: {exc}", pid))
+            conn.send(("fail", job.index,
+                       f"{type(exc).__name__}: {exc}", pid))

@@ -10,11 +10,13 @@ The paper's counters answer "how much, in total"; Regional Consistency
 * per-node active-message queue depths (``am.qdepth.n<N>`` — the live
   contention signal no end-of-run total can show).
 
-Like :class:`~repro.tools.monitor.AttachedMonitor`, the sampler is a
-self-rescheduling engine *event*, not a process: it charges no virtual
-time, never keeps the simulation alive, and stops once no non-daemon
-process remains. Samples hold cumulative values; :meth:`MetricsSampler.rates`
-turns any key into a per-interval rate curve (bandwidth, fetch rate, ...).
+This is the repository's one virtual-time sampler (the external
+:class:`~repro.tools.monitor.AttachedMonitor` records live counter updates
+and on-demand snapshots, not periodic ones). It is a self-rescheduling
+engine *event*, not a process: it charges no virtual time, never keeps the
+simulation alive, and stops once no non-daemon process remains. Samples
+hold cumulative values; :meth:`MetricsSampler.rates` turns any key into a
+per-interval rate curve (bandwidth, fetch rate, ...).
 """
 
 from __future__ import annotations

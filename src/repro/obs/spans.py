@@ -13,10 +13,10 @@ Design constraints honoured here:
   :data:`NULL_OBS` singleton: ``span()`` hands back one reusable no-op
   context manager, nothing allocates, and — crucially — no instrumentation
   anywhere charges virtual time, so disabled runs are bit-identical.
-* **Tracer is the span sink.** Every span close is also emitted as an
-  ``obs.span`` event into the engine's :class:`~repro.sim.trace.Tracer`, so
-  the existing trace tooling (and the protocol tests built on it) see spans
-  through the surface they already consume.
+* **One store.** Spans live only in the recorder; they are not copied into
+  the engine's :class:`~repro.sim.trace.Tracer`, which carries protocol
+  events alone. Readers (Chrome export, critical path, the CLI) take spans
+  from ``plat.obs``.
 * **Determinism.** Span ids are a per-recorder counter consumed in event
   order; a seeded run produces an identical span tree.
 """
@@ -121,14 +121,13 @@ class ObsRecorder:
 
     enabled = True
 
-    def __init__(self, engine, sink_to_trace: bool = True) -> None:
+    def __init__(self, engine) -> None:
         self.engine = engine
         self.spans: List[Span] = []
         self._by_id: Dict[int, Span] = {}
         self._next_id = 0
         #: current-span stacks, keyed by SimProcess.pid (None = engine ctx)
         self._stacks: Dict[Optional[int], List[Span]] = {}
-        self._sink_to_trace = sink_to_trace
 
     # -------------------------------------------------------------- plumbing
     def _stack(self) -> List[Span]:
@@ -196,11 +195,6 @@ class ObsRecorder:
             stack.pop()
         elif span in stack:          # closed out of order (defensive)
             stack.remove(span)
-        if self._sink_to_trace:
-            self.engine.trace.emit("obs.span", span_id=span.span_id,
-                                   span_kind=span.kind, begin=span.begin,
-                                   dur=span.end - span.begin,
-                                   parent=span.parent, rank=span.rank)
 
     def record(self, kind: str, begin: float, end: float,
                parent: Optional[int] = None, rank: Optional[int] = None,
@@ -212,11 +206,6 @@ class ObsRecorder:
             parent = self.current_id()
         span = self._make(kind, begin, parent, rank, node, fields)
         span.end = end
-        if self._sink_to_trace:
-            self.engine.trace.emit("obs.span", span_id=span.span_id,
-                                   span_kind=span.kind, begin=span.begin,
-                                   dur=span.end - span.begin,
-                                   parent=span.parent, rank=span.rank)
         return span
 
     # --------------------------------------------------------------- queries

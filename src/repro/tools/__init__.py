@@ -6,8 +6,9 @@ externally … making it possible to leverage toolsets across platforms."
 This package is that toolset:
 
 * :mod:`repro.tools.monitor` — an external monitor that attaches to a
-  running platform (counter subscriptions + periodic sampling) and produces
-  counter timelines, without touching application code.
+  running platform (live counter subscriptions + on-demand snapshots) and
+  produces counter timelines, without touching application code. Periodic
+  sampling belongs to :class:`repro.obs.metrics.MetricsSampler`.
 * :mod:`repro.tools.profile` — post-run profile reports: per-rank protocol
   breakdowns, communication volumes, sync-time shares.
 * :mod:`repro.tools.traceview` — summaries over the simulation trace:

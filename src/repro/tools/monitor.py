@@ -1,17 +1,19 @@
 """External monitoring system (§4.3, third consumer).
 
 An :class:`AttachedMonitor` hooks a built platform *from outside*: it
-subscribes to every module's counters and additionally samples the full
-statistics tree at a fixed virtual-time period (a self-rescheduling engine
-event, like a real monitoring agent sharing the machine). The application
-needs no changes and the programming model stays fully transparent — the
-point of the paper's design.
+subscribes to every module's counters and can snapshot the full statistics
+tree on demand. The application needs no changes and the programming model
+stays fully transparent — the point of the paper's design.
+
+Periodic virtual-time sampling is not done here: the one sampler is
+:class:`~repro.obs.metrics.MetricsSampler`, enabled through
+``ClusterConfig.metrics_interval``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = ["CounterSample", "CounterEvent", "AttachedMonitor"]
 
@@ -28,7 +30,7 @@ class CounterEvent:
 
 @dataclass
 class CounterSample:
-    """One periodic snapshot of the whole statistics tree."""
+    """One on-demand snapshot of the whole statistics tree."""
 
     time: float
     tree: Dict[str, Any] = field(default_factory=dict)
@@ -38,39 +40,23 @@ class CounterSample:
 
 
 class AttachedMonitor:
-    """Attach to a platform; collect live events and periodic samples."""
+    """Attach to a platform; collect live events and on-demand samples."""
 
-    def __init__(self, platform, period: Optional[float] = None) -> None:
+    def __init__(self, platform) -> None:
         self.platform = platform
         self.hamster = platform.hamster
-        self.period = period
         self.events: List[CounterEvent] = []
         self.samples: List[CounterSample] = []
         self._attached = False
 
     # ---------------------------------------------------------------- attach
     def attach(self) -> "AttachedMonitor":
-        """Subscribe to all module counters; start the sampler if a period
-        was configured. Call before ``run_spmd``.
-
-        The sampler is a self-rescheduling engine event (not a process): it
-        keeps sampling only while application tasks are alive, so it never
-        keeps the simulation running by itself. One final sample may land
-        up to one period after the last task exits.
-        """
+        """Subscribe to all module counters. Call before ``run_spmd``."""
         if self._attached:
             return self
         self._attached = True
-        engine = self.hamster.engine
         for name, stats in self.hamster.monitoring._modules.items():
             stats.subscribe(self._on_update)
-        if self.period is not None:
-            def tick() -> None:
-                self.snapshot()
-                if engine.app_alive():
-                    engine.schedule(self.period, tick)
-
-            engine.schedule(self.period, tick)
         return self
 
     def _on_update(self, module: str, counter: str, value: float) -> None:

@@ -215,8 +215,7 @@ class TestSweepEvents:
                         scales=(0.5,), timeout=0.5)
         path = tmp_path / "events.jsonl"
         result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
-                           stall_grace=0.5, events=str(path),
-                           heartbeat=0.02)
+                           events=str(path), heartbeat=0.02)
         assert validate_events(str(path)) == []
         cell = result.manifest.cells[0]
         assert cell.outcome == "failed"

@@ -329,7 +329,7 @@ class TestFailurePolicy:
                            f"{faultpoints.WORKER_CELL_START}@{flag}")
         spec = GridSpec(presets=("smp-2",), labels=("PI",), scales=(0.04,))
         result = run_sweep(spec, workers=2, cache=cache_for(tmp_path),
-                           stall_grace=0.5, max_retries=0)
+                           max_retries=0)
         cell = result.manifest.cells[0]
         assert cell.outcome == "failed"
         assert cell.attempts == 1
@@ -342,8 +342,7 @@ class TestFailurePolicy:
                            f"{faultpoints.WORKER_CELL_START}@{flag}")
         spec = GridSpec(presets=("smp-2",), labels=("PI",), scales=(0.04,))
         result = run_sweep(spec, workers=2, cache=cache_for(tmp_path),
-                           stall_grace=0.5, max_retries=2,
-                           retry_backoff=0.05)
+                           max_retries=2, retry_backoff=0.05)
         cell = result.manifest.cells[0]
         assert cell.outcome == "miss"
         assert cell.attempts == 2

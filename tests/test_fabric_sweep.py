@@ -121,8 +121,7 @@ class TestSweepParallel:
         flag = tmp_path / "crash-once"
         monkeypatch.setenv(CRASH_FLAG_ENV, str(flag))
         spec = GridSpec(presets=("smp-2",), labels=("PI",), scales=(0.04,))
-        result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
-                           stall_grace=0.5)
+        result = run_sweep(spec, workers=2, cache=small_cache(tmp_path))
         assert flag.exists()                 # the crash really happened
         cell = result.manifest.cells[0]
         assert cell.outcome == "miss"
@@ -132,8 +131,7 @@ class TestSweepParallel:
     def test_timeout_becomes_a_typed_failed_cell(self, tmp_path):
         spec = GridSpec(presets=("sw-dsm-4",), labels=("MatMult",),
                         scales=(0.5,), timeout=0.3)
-        result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
-                           stall_grace=0.5)
+        result = run_sweep(spec, workers=2, cache=small_cache(tmp_path))
         cell = result.manifest.cells[0]
         assert cell.outcome == "failed"
         assert cell.error.startswith("timeout: ")

@@ -3,8 +3,9 @@
 The observability satellite of the S17 fault work: with faults active, the
 tool digests must surface what actually happened — retransmissions in the
 trace summary, failure-detector confirmations after a crash, live counter
-samples from an attached monitor — and the obs layer must keep working
-under injected loss (retry wire transfers stay causally linked).
+updates from an attached monitor, periodic samples from the metrics sampler
+— and the obs layer must keep working under injected loss (retry wire
+transfers stay causally linked).
 """
 
 import pytest
@@ -39,7 +40,7 @@ class TestTraceviewChaosDigest:
         summary = summarize_trace(chaos_run.built.engine.trace)
         trace = chaos_run.built.engine.trace
         assert sum(summary.events_by_kind.values()) == len(trace)
-        for kind in ("net.send", "jj.fetch", "obs.span"):
+        for kind in ("net.send", "jj.fetch"):
             assert summary.events_by_kind.get(kind, 0) > 0
 
     def test_render_mentions_faults_and_retries(self, chaos_run):
@@ -77,8 +78,9 @@ class TestMonitorUnderChaos:
 
         cfg = preset("sw-dsm-2")
         cfg.faults = FaultPlan.seeded(7)
+        cfg.metrics_interval = 0.5e-3
         built = cfg.build()
-        monitor = AttachedMonitor(built, period=0.5e-3).attach()
+        monitor = AttachedMonitor(built).attach()
         api = JiaJiaApi(built.hamster)
 
         def main(jia):
@@ -92,9 +94,9 @@ class TestMonitorUnderChaos:
 
         api.run(main)
         assert monitor.events, "no live counter updates seen"
-        assert monitor.samples, "no periodic samples collected"
-        last = monitor.samples[-1]
-        assert last.get("sync", "barriers") > 0
+        assert monitor.timeline("sync", "barriers")
+        assert built.metrics.samples, "no periodic samples collected"
+        assert built.metrics.samples[-1].get("sync.barriers") > 0
 
 
 class TestSpansUnderChaos:

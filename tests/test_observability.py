@@ -18,16 +18,17 @@ from repro.obs import (NULL_OBS, CriticalPathReport, MetricsSampler,
                        critical_path_report, validate_chrome_trace)
 from repro.sim.engine import Engine
 from repro.sim.process import SimProcess
-from repro.sim.trace import Tracer
 
 
-def run_jiajia_workload(observe: bool, metrics_interval=None, nodes: int = 2):
+def run_jiajia_workload(observe: bool, metrics_interval=None, nodes: int = 2,
+                        trace: bool = False):
     """Small JiaJia workload: alloc, barrier, contended lock loop."""
     from repro.models.jiajia_api import JiaJiaApi
 
     cfg = preset(f"sw-dsm-{nodes}")
     cfg.observe = observe
     cfg.metrics_interval = metrics_interval
+    cfg.trace = trace
     built = cfg.build()
     api = JiaJiaApi(built.hamster)
     sums = []
@@ -66,7 +67,7 @@ class TestNullObserver:
 class TestObsRecorder:
     def test_nesting_sets_parent(self):
         engine = Engine()
-        rec = ObsRecorder(engine, sink_to_trace=False)
+        rec = ObsRecorder(engine)
         with rec.span("outer") as outer:
             with rec.span("inner") as inner:
                 assert rec.current_id() == inner.span_id
@@ -79,7 +80,7 @@ class TestObsRecorder:
 
     def test_explicit_parent_wins(self):
         engine = Engine()
-        rec = ObsRecorder(engine, sink_to_trace=False)
+        rec = ObsRecorder(engine)
         with rec.span("a") as a:
             pass
         with rec.span("b"):
@@ -89,7 +90,7 @@ class TestObsRecorder:
 
     def test_rank_inherited_from_parent(self):
         engine = Engine()
-        rec = ObsRecorder(engine, sink_to_trace=False)
+        rec = ObsRecorder(engine)
         with rec.span("root", rank=3) as root:
             with rec.span("child") as child:
                 pass
@@ -97,7 +98,7 @@ class TestObsRecorder:
 
     def test_per_process_stacks_are_independent(self):
         engine = Engine()
-        rec = ObsRecorder(engine, sink_to_trace=False)
+        rec = ObsRecorder(engine)
         engine.obs = rec
         seen = {}
 
@@ -116,7 +117,7 @@ class TestObsRecorder:
 
     def test_span_times_use_virtual_clock(self):
         engine = Engine()
-        rec = ObsRecorder(engine, sink_to_trace=False)
+        rec = ObsRecorder(engine)
         engine.obs = rec
 
         def task(proc):
@@ -131,24 +132,14 @@ class TestObsRecorder:
 
     def test_record_completed_interval(self):
         engine = Engine()
-        rec = ObsRecorder(engine, sink_to_trace=False)
+        rec = ObsRecorder(engine)
         span = rec.record("net.xfer", begin=1.0, end=2.0, size=64)
         assert span.end == 2.0 and span.get("size") == 64
         assert rec.of_kind("net.xfer") == [span]
 
-    def test_tracer_is_the_span_sink(self):
-        engine = Engine(trace=Tracer(enabled=True))
-        rec = ObsRecorder(engine)
-        with rec.span("dsm.lock", rank=1):
-            pass
-        events = engine.trace.of_kind("obs.span")
-        assert len(events) == 1
-        assert events[0]["span_kind"] == "dsm.lock"
-        assert events[0]["rank"] == 1
-
     def test_exception_still_closes_span(self):
         engine = Engine()
-        rec = ObsRecorder(engine, sink_to_trace=False)
+        rec = ObsRecorder(engine)
         with pytest.raises(RuntimeError):
             with rec.span("doomed"):
                 raise RuntimeError("boom")
@@ -205,6 +196,18 @@ class TestInstrumentedRun:
         assert built_off.obs is None
         assert built_off.engine.obs is NULL_OBS
 
+    def test_span_recording_leaves_trace_stream_unchanged(self):
+        """Spans are stored only by the recorder, never copied into the
+        Tracer: turning ``observe`` on must not change the trace stream."""
+        from repro.bench.diffcheck import stream_digest
+
+        built_off, _ = run_jiajia_workload(observe=False, trace=True)
+        built_on, _ = run_jiajia_workload(observe=True, trace=True)
+        assert built_on.obs.spans
+        digest_off = stream_digest(built_off.engine.trace.events)
+        assert digest_off[1] > 0
+        assert stream_digest(built_on.engine.trace.events) == digest_off
+
     def test_observe_flag_roundtrips_through_config_text(self):
         cfg = preset("sw-dsm-2")
         cfg.observe = True
@@ -259,7 +262,7 @@ class TestCriticalPath:
         assert "compute ms" in text and "wire ms" in text
 
     def test_empty_recorder(self):
-        rec = ObsRecorder(Engine(), sink_to_trace=False)
+        rec = ObsRecorder(Engine())
         assert critical_path(rec) == []
         report = CriticalPathReport(platform="x", total_time=0.0)
         assert report.totals() == {"wire": 0.0, "blocked": 0.0,

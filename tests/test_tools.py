@@ -35,13 +35,6 @@ class TestAttachedMonitor:
         assert mon.peak("sync", "barriers") >= 3
         assert mon.timeline("sync", "lock_acquires")
 
-    def test_periodic_sampling(self):
-        plat = preset("sw-dsm-2").build()
-        mon = AttachedMonitor(plat, period=1e-3).attach()
-        run_workload(plat)
-        assert len(mon.samples) >= 1
-        assert mon.samples[0].tree["dsm"]["rank0"] is not None
-
     def test_snapshot_on_demand(self):
         plat = preset("smp-2").build()
         mon = AttachedMonitor(plat).attach()
