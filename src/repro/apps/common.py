@@ -3,11 +3,14 @@
 Applications are written against the JiaJia API *surface* (either binding),
 partition work by rank, charge their floating-point work explicitly on
 their node, and verify their shared-memory result against a sequential
-numpy reference computed from the same seeded input.
+numpy reference computed from the same seeded input. The reference is
+computed once per (app, params) by :func:`shared_reference` and shared,
+read-only, by every rank, which checks only its own part of it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -17,7 +20,7 @@ from repro.errors import HamsterError
 
 __all__ = ["AppResult", "compute", "compute_g", "memtouch", "memtouch_g",
            "row_block", "AppError", "APP_TABLE", "get_app",
-           "merge_rank_results"]
+           "merge_rank_results", "shared_reference"]
 
 
 class AppError(HamsterError):
@@ -71,6 +74,22 @@ def row_block(n_rows: int, rank: int, n_ranks: int) -> Tuple[int, int]:
     lo = rank * per + min(rank, extra)
     hi = lo + per + (1 if rank < extra else 0)
     return lo, hi
+
+
+@functools.lru_cache(maxsize=4)
+def shared_reference(compute: Callable[..., np.ndarray], *params) -> np.ndarray:
+    """``compute(*params)``, computed once per distinct arguments and
+    returned read-only to every caller.
+
+    ``compute`` is an app's module-level function that rebuilds the app's
+    seeded input from its hashable ``params`` and returns the sequential
+    reference; the ranks of one run pass equal arguments, so only the
+    first rank pays for it. ``shared_reference.cache_clear()`` drops every
+    kept reference.
+    """
+    ref = compute(*params)
+    ref.setflags(write=False)
+    return ref
 
 
 def merge_rank_results(results) -> AppResult:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import AppResult, compute_g, row_block
+from repro.apps.common import AppResult, compute_g, row_block, shared_reference
 from repro.memory.layout import block
 
 __all__ = ["run_fft"]
@@ -34,6 +34,16 @@ def _to_pairs(z: np.ndarray) -> np.ndarray:
 
 def _to_complex(p: np.ndarray) -> np.ndarray:
     return p[..., 0] + 1j * p[..., 1]
+
+
+def _signal(n1: int, n2: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n1 * n2) + 1j * rng.standard_normal(n1 * n2)
+
+
+def _reference(n1: int, n2: int, seed: int) -> np.ndarray:
+    """``numpy.fft`` of the seeded signal, in the transposed layout."""
+    return np.fft.fft(_signal(n1, n2, seed)).reshape(n1, n2).T
 
 
 def _fft_flops(rows: int, length: int) -> float:
@@ -51,8 +61,7 @@ def run_fft(api, n1: int = 64, n2: int = 64, seed: int = 23,
                                          distribution=block())
     B = yield from api.jia_alloc_array_g((n2, n1, 2), np.float64, name="fft.B",
                                          distribution=block())
-    rng = np.random.default_rng(seed)
-    signal = rng.standard_normal(n1 * n2) + 1j * rng.standard_normal(n1 * n2)
+    signal = _signal(n1, n2, seed)
     # The row-first four-step variant wants the signal laid out column-major
     # on the n1 x n2 grid: grid[a, b] = signal[b*n1 + a].
     grid = signal.reshape(n2, n1).T.copy()
@@ -106,7 +115,7 @@ def run_fft(api, n1: int = 64, n2: int = 64, seed: int = 23,
     verified = True
     checksum = 0.0
     if verify:
-        reference = np.fft.fft(signal).reshape(n1, n2).T  # transposed layout
+        reference = shared_reference(_reference, n1, n2, seed)
         mine = _to_complex(
             (yield from B.get_g((slice(t_lo, t_hi), slice(None), slice(None)))))
         verified = bool(np.allclose(mine, reference[t_lo:t_hi, :],

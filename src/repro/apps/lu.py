@@ -22,7 +22,7 @@ from typing import List
 
 import numpy as np
 
-from repro.apps.common import AppResult, compute_g
+from repro.apps.common import AppResult, compute_g, shared_reference
 from repro.memory.layout import explicit
 
 __all__ = ["run_lu"]
@@ -60,6 +60,15 @@ def _reference_lu(a: np.ndarray, block_rows: int) -> np.ndarray:
     return m
 
 
+def _input(n: int, seed: int) -> np.ndarray:
+    # Diagonally dominant input keeps no-pivot elimination stable.
+    return np.random.default_rng(seed).random((n, n)) + np.eye(n) * n
+
+
+def _seeded_reference(n: int, block_rows: int, seed: int) -> np.ndarray:
+    return _reference_lu(_input(n, seed), block_rows)
+
+
 def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
            verify: bool = True) -> AppResult:
     rank, n_ranks = yield from api.jia_init_g()
@@ -69,9 +78,7 @@ def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
     t0 = yield from api.jia_wtime_g()
     A = yield from api.jia_alloc_array_g((n, n), np.float64, name="lu.A",
                                          distribution=explicit(homes))
-    # Diagonally dominant input keeps no-pivot elimination stable.
-    rng = np.random.default_rng(seed)
-    a_full = rng.random((n, n)) + np.eye(n) * n
+    a_full = _input(n, seed)
 
     # ------------------------------------------------ write-only init (rank 0)
     if rank == 0:
@@ -128,7 +135,7 @@ def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
     verified = True
     checksum = 0.0
     if verify:
-        ref = _reference_lu(a_full, block)
+        ref = shared_reference(_seeded_reference, n, block, seed)
         for mp in range(n_panels):
             if mp % n_ranks != rank:
                 continue

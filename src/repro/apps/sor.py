@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import AppResult, compute_g, row_block
+from repro.apps.common import AppResult, compute_g, row_block, shared_reference
 from repro.memory.layout import block, cyclic
 
 __all__ = ["run_sor"]
@@ -29,16 +29,18 @@ def _sweep(grid: np.ndarray, phase: int, lo: int, hi: int, n: int) -> None:
     """One red-black half-sweep over rows [lo, hi) of ``grid`` in place.
 
     ``grid`` must carry one halo row above and below the range; rows are
-    grid-global indices (1-based interior).
+    grid-global indices (1-based interior). The rows starting at ``lo``
+    and those starting at ``lo + 1`` are updated as two strided slices:
+    the points of one colour read only points of the other, so the result
+    is the same, bit for bit, as sweeping row by row.
     """
-    for i in range(lo, hi):
-        j0 = 1 + ((i + phase) % 2)
-        row = grid[i - lo + 1]
-        up = grid[i - lo]
-        down = grid[i - lo + 2]
-        js = np.arange(j0, n - 1, 2)
-        row[js] = (1 - OMEGA) * row[js] + OMEGA * 0.25 * (
-            up[js] + down[js] + row[js - 1] + row[js + 1])
+    rows = hi - lo
+    for first in (0, 1):
+        j0 = 1 + ((lo + first + phase) % 2)
+        r, c = slice(1 + first, rows + 1, 2), slice(j0, n - 1, 2)
+        grid[r, c] = (1 - OMEGA) * grid[r, c] + OMEGA * 0.25 * (
+            grid[first:rows:2, c] + grid[2 + first:rows + 2:2, c]
+            + grid[r, j0 - 1:n - 2:2] + grid[r, j0 + 1:n:2])
 
 
 def _reference(initial: np.ndarray, iterations: int) -> np.ndarray:
@@ -52,6 +54,14 @@ def _reference(initial: np.ndarray, iterations: int) -> np.ndarray:
     return grid
 
 
+def _initial(n: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).random((n, n))
+
+
+def _seeded_reference(n: int, iterations: int, seed: int) -> np.ndarray:
+    return _reference(_initial(n, seed), iterations)
+
+
 def run_sor(api, n: int = 1024, iterations: int = 10, locality: bool = True,
             seed: int = 7, verify: bool = True) -> AppResult:
     rank, n_ranks = yield from api.jia_init_g()
@@ -60,8 +70,7 @@ def run_sor(api, n: int = 1024, iterations: int = 10, locality: bool = True,
     t0 = yield from api.jia_wtime_g()
     G = yield from api.jia_alloc_array_g((n, n), np.float64, name="sor.grid",
                                          distribution=dist)
-    rng = np.random.default_rng(seed)
-    initial = rng.random((n, n))
+    initial = _initial(n, seed)
     lo, hi = row_block(n - 2, rank, n_ranks)
     lo, hi = lo + 1, hi + 1  # interior rows only
     yield from G.set_g((slice(lo, hi), slice(None)), initial[lo:hi, :])
@@ -87,7 +96,7 @@ def run_sor(api, n: int = 1024, iterations: int = 10, locality: bool = True,
     checksum = 0.0
     if verify:
         mine = yield from G.get_g((slice(lo, hi), slice(None)))
-        ref = _reference(initial, iterations)
+        ref = shared_reference(_seeded_reference, n, iterations, seed)
         verified = bool(np.allclose(mine, ref[lo:hi, :], atol=1e-10))
         checksum = float(np.abs(ref).sum())  # partition-independent
     yield from api.jia_exit_g()

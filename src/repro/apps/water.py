@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import AppResult, compute_g, row_block
+from repro.apps.common import AppResult, compute_g, row_block, shared_reference
 from repro.memory.layout import block
 
 __all__ = ["run_water"]
@@ -47,6 +47,14 @@ def _reference(initial: np.ndarray, steps: int) -> np.ndarray:
     return pos
 
 
+def _initial(molecules: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).random((molecules, 3)) * 10.0
+
+
+def _seeded_reference(molecules: int, steps: int, seed: int) -> np.ndarray:
+    return _reference(_initial(molecules, seed), steps)
+
+
 def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
               verify: bool = True) -> AppResult:
     rank, n_ranks = yield from api.jia_init_g()
@@ -57,8 +65,7 @@ def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
                                          distribution=block())
     F = yield from api.jia_alloc_array_g((n, 3), np.float64, name="water.frc",
                                          distribution=block())
-    rng = np.random.default_rng(seed)
-    initial = rng.random((n, 3)) * 10.0
+    initial = _initial(n, seed)
     lo, hi = row_block(n, rank, n_ranks)
     yield from X.set_g((slice(lo, hi), slice(None)), initial[lo:hi, :])
     if rank == 0:
@@ -102,7 +109,7 @@ def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
     verified = True
     checksum = 0.0
     if verify:
-        ref = _reference(initial, steps)
+        ref = shared_reference(_seeded_reference, n, steps, seed)
         mine = yield from X.get_g((slice(lo, hi), slice(None)))
         verified = bool(np.allclose(mine, ref[lo:hi, :], atol=1e-8))
         checksum = float(np.abs(ref).sum())

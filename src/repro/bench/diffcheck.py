@@ -364,7 +364,8 @@ def events_per_sec_gate(telemetry_path: str, baseline_path: str,
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench.diffcheck",
-        description="golden-run differential harness for the engine hot path")
+        description="golden-run differential harness for the engine hot path",
+        allow_abbrev=False)
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--record", action="store_true",
                       help="(re)record golden snapshots from the current engine")

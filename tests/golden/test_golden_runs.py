@@ -59,3 +59,12 @@ def test_figure_dual_procs_spot():
     ref = diffcheck.capture(sc, procs="thread")
     new = diffcheck.capture(sc, procs="generator")
     assert diffcheck.diff_records(new, ref) == []
+
+
+def test_removed_dual_flag_is_not_a_prefix_of_dual_procs(capsys):
+    """``--dual`` was deleted; argparse prefix matching must not quietly
+    turn it into ``--dual-procs``."""
+    with pytest.raises(SystemExit) as exc:
+        diffcheck.main(["diffcheck", "--dual", "--only", "no-such-scenario"])
+    assert exc.value.code == 2
+    assert "--dual" in capsys.readouterr().err
